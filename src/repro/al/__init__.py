@@ -54,8 +54,6 @@ from .resilience import (
     QuarantineDecision,
     QuarantinePolicy,
     RetryPolicy,
-    ShardBreaker,
-    ShardBreakerConfig,
 )
 from .sharding import (
     AcquisitionRouter,
@@ -111,8 +109,6 @@ __all__ = [
     "QuarantinePolicy",
     "QuarantineDecision",
     "FailureAccounting",
-    "ShardBreaker",
-    "ShardBreakerConfig",
     "InputPartitioner",
     "ShardingConfig",
     "ShardedModel",

@@ -60,7 +60,7 @@ from .guardrails import (
 from .learner import default_model_factory
 from .pool import CandidatePool
 from .resilience import FailureAccounting, QuarantinePolicy, RetryPolicy
-from .session import read_json_checked, write_json_atomic
+from .session import generator_state, read_json_checked, write_json_atomic
 from .strategies import Strategy, VarianceReduction, select_batch
 
 __all__ = [
@@ -254,14 +254,6 @@ class _CampaignState:
     total_core_seconds: float = 0.0
     accounting: FailureAccounting = field(default_factory=FailureAccounting)
     stop_reason: str = "completed"
-
-
-def _generator_state(obj) -> dict | None:
-    """Bit-generator state of ``obj.rng`` / ``obj`` when it is a Generator."""
-    gen = getattr(obj, "rng", obj)
-    if isinstance(gen, np.random.Generator):
-        return gen.bit_generator.state
-    return None
 
 
 class OnlineCampaign:
@@ -665,7 +657,7 @@ class OnlineCampaign:
             n_quarantined=state.accounting.n_quarantined,
             wasted_core_seconds=state.accounting.wasted_core_seconds,
             rng_state=self.rng.bit_generator.state,
-            executor_rng_state=_generator_state(self.executor),
+            executor_rng_state=generator_state(self.executor),
             strategy_rng_state=(
                 tie_rng().bit_generator.state if callable(tie_rng) else None
             ),

@@ -35,8 +35,6 @@ __all__ = [
     "QuarantineDecision",
     "QuarantinePolicy",
     "FailureAccounting",
-    "ShardBreakerConfig",
-    "ShardBreaker",
 ]
 
 
@@ -250,177 +248,3 @@ class FailureAccounting:
         self.n_drift_events += other.n_drift_events
         self.n_breaker_opens += other.n_breaker_opens
         self.n_watchdog_stops += other.n_watchdog_stops
-
-
-# ----------------------------------------------------------- shard breaker
-#
-# The node circuit breaker (repro.cluster.breaker) protects the *scheduler*
-# from crash-prone nodes on a wall-clock timeline.  Sharded campaigns
-# (repro.al.sharding) need the same pattern on a different failure domain
-# and a different clock: a shard whose *model fit* keeps failing must be
-# excluded from acquisition routing for a few rounds, probed, and
-# eventually written off — all indexed by AL round, not seconds, so the
-# state machine replays identically under checkpoint resume.
-
-
-@dataclass(frozen=True)
-class ShardBreakerConfig:
-    """Round-indexed circuit-breaker thresholds for :class:`ShardBreaker`.
-
-    Attributes
-    ----------
-    open_after:
-        Consecutive failed rounds (every retry exhausted) before the shard
-        opens.
-    cooldown_rounds:
-        Rounds an open shard sits out before a half-open probe fit.
-    blacklist_after:
-        Times a shard may open before it is declared dead for the rest of
-        the campaign.
-    """
-
-    open_after: int = 2
-    cooldown_rounds: int = 2
-    blacklist_after: int = 3
-
-    def __post_init__(self):
-        if self.open_after < 1:
-            raise ValueError("open_after must be >= 1")
-        if self.cooldown_rounds < 1:
-            raise ValueError("cooldown_rounds must be >= 1")
-        if self.blacklist_after < 1:
-            raise ValueError("blacklist_after must be >= 1")
-
-
-class ShardBreaker:
-    """Per-shard circuit breaker over AL rounds.
-
-    States per shard: ``closed`` (fits normally) -> ``open`` (excluded
-    from fitting and routing for ``cooldown_rounds``) -> ``half_open``
-    (one probe fit allowed) -> back to ``closed`` on success, or re-open /
-    ``dead`` on failure.  Everything is indexed by the campaign's round
-    counter, so the breaker serializes to a small dict and resumes
-    bit-identically (:meth:`as_dict` / :meth:`from_dict`).
-    """
-
-    def __init__(self, n_shards: int, config: ShardBreakerConfig | None = None):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = int(n_shards)
-        self.config = config or ShardBreakerConfig()
-        self._consecutive = [0] * self.n_shards
-        self._open_until = [-1] * self.n_shards  # -1 = not open
-        self._opens = [0] * self.n_shards
-        self._dead = [False] * self.n_shards
-        self.n_opened = 0
-        self.n_probes = 0
-        self.n_blacklisted = 0
-
-    # ------------------------------------------------------------- queries
-
-    def state(self, shard: int, round_index: int) -> str:
-        """``"closed"``, ``"open"``, ``"half_open"`` or ``"dead"``."""
-        if self._dead[shard]:
-            return "dead"
-        until = self._open_until[shard]
-        if until < 0:
-            return "closed"
-        if round_index < until:
-            return "open"
-        return "half_open"
-
-    def serviceable(self, shard: int, round_index: int) -> bool:
-        """Whether this shard may attempt a fit this round."""
-        return self.state(shard, round_index) in ("closed", "half_open")
-
-    def serviceable_shards(self, round_index: int) -> list[int]:
-        return [
-            s for s in range(self.n_shards) if self.serviceable(s, round_index)
-        ]
-
-    def dead_shards(self) -> list[int]:
-        return [s for s in range(self.n_shards) if self._dead[s]]
-
-    # ------------------------------------------------------------ outcomes
-
-    def record_success(self, shard: int, round_index: int) -> None:
-        """A fit attempt succeeded: close the shard."""
-        if self._dead[shard]:
-            return
-        if self.state(shard, round_index) == "half_open":
-            self.n_probes += 1
-            tm.count("shard.breaker.probes")
-        self._consecutive[shard] = 0
-        self._open_until[shard] = -1
-
-    def record_failure(self, shard: int, round_index: int) -> None:
-        """Every retry of this round's fit failed: count toward opening."""
-        if self._dead[shard]:
-            return
-        state = self.state(shard, round_index)
-        if state == "half_open":
-            self.n_probes += 1
-            tm.count("shard.breaker.probes")
-            self._open(shard, round_index)
-            return
-        self._consecutive[shard] += 1
-        if self._consecutive[shard] >= self.config.open_after:
-            self._open(shard, round_index)
-
-    def _open(self, shard: int, round_index: int) -> None:
-        self._opens[shard] += 1
-        self.n_opened += 1
-        tm.count("shard.breaker.opens")
-        if self._opens[shard] >= self.config.blacklist_after:
-            self._dead[shard] = True
-            self._open_until[shard] = -1
-            self.n_blacklisted += 1
-            tm.count("shard.breaker.blacklisted")
-            tm.event("shard.breaker", shard=shard, state="dead")
-            return
-        self._open_until[shard] = round_index + 1 + self.config.cooldown_rounds
-        tm.event(
-            "shard.breaker",
-            shard=shard,
-            state="open",
-            until_round=self._open_until[shard],
-        )
-
-    # -------------------------------------------------------- persistence
-
-    def as_dict(self) -> dict:
-        return {
-            "consecutive": list(self._consecutive),
-            "open_until": list(self._open_until),
-            "opens": list(self._opens),
-            "dead": list(self._dead),
-            "n_opened": self.n_opened,
-            "n_probes": self.n_probes,
-            "n_blacklisted": self.n_blacklisted,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: dict, *, n_shards: int, config: ShardBreakerConfig | None = None
-    ) -> "ShardBreaker":
-        breaker = cls(n_shards, config)
-        for name, attr in (
-            ("consecutive", "_consecutive"),
-            ("open_until", "_open_until"),
-            ("opens", "_opens"),
-        ):
-            values = [int(v) for v in data.get(name, [])]
-            if len(values) != n_shards:
-                raise ValueError(
-                    f"shard breaker state {name!r} has {len(values)} entries "
-                    f"for {n_shards} shards"
-                )
-            setattr(breaker, attr, values)
-        dead = [bool(v) for v in data.get("dead", [])]
-        if len(dead) != n_shards:
-            raise ValueError("shard breaker state 'dead' length mismatch")
-        breaker._dead = dead
-        breaker.n_opened = int(data.get("n_opened", 0))
-        breaker.n_probes = int(data.get("n_probes", 0))
-        breaker.n_blacklisted = int(data.get("n_blacklisted", 0))
-        return breaker

@@ -42,6 +42,7 @@ __all__ = [
     "load_session",
     "write_json_atomic",
     "read_json_checked",
+    "generator_state",
 ]
 
 _FORMAT_VERSION = 1
@@ -224,6 +225,14 @@ def write_json_atomic(payload: dict, path) -> Path:
         finally:
             os.close(dir_fd)
     return path
+
+
+def generator_state(obj) -> dict | None:
+    """Bit-generator state of ``obj.rng`` / ``obj`` when it is a Generator."""
+    gen = getattr(obj, "rng", obj)
+    if isinstance(gen, np.random.Generator):
+        return gen.bit_generator.state
+    return None
 
 
 def read_json_checked(path, *, kind: str = "session") -> dict:

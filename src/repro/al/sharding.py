@@ -27,12 +27,13 @@ crash, hang, or silently corrupt data, and degrades instead of dying:
 * :class:`ShardSupervisor` — the robustness headline: per-shard
   :class:`~repro.al.guardrails.ModelHealth` gating, per-shard
   :class:`~repro.al.guardrails.LastKnownGood` rollback, a shard-level
-  circuit breaker (:class:`~repro.al.resilience.ShardBreaker`) that
-  excludes open shards from routing and re-routes their pool mass to
-  healthy neighbors, fault-injected fits
+  circuit breaker (the cluster's
+  :class:`~repro.cluster.breaker.NodeCircuitBreaker`, clocked by AL
+  round, one seat per shard) that excludes open shards from routing and
+  re-routes their pool mass to healthy neighbors, fault-injected fits
   (:class:`~repro.cluster.faults.ShardFaultInjector`) with bounded
-  deterministic retries, and per-shard atomic checkpoints with
-  exactly-once :meth:`ShardedLearner.resume`.
+  deterministic retries, and one atomic per-round checkpoint manifest
+  with exactly-once :meth:`ShardedLearner.resume`.
 
 Degraded-mode guarantee: with k of N shards down the campaign keeps
 learning on the remaining surface; :class:`~repro.al.campaign.CampaignResult`
@@ -58,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import telemetry as tm
+from ..cluster.breaker import BLACKLISTED, BreakerConfig, NodeCircuitBreaker
 from ..cluster.faults import ShardFaultConfig, ShardFaultInjector
 from ..gp.gpr import GaussianProcessRegressor
 from ..parallel.pmap import ParallelMap
@@ -73,8 +75,7 @@ from .learner import default_model_factory
 from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
-from .resilience import ShardBreaker, ShardBreakerConfig
-from .session import read_json_checked, write_json_atomic
+from .session import generator_state, read_json_checked, write_json_atomic
 from .strategies import Strategy, VarianceReduction
 
 __all__ = [
@@ -87,8 +88,7 @@ __all__ = [
     "mixed_operator_pool",
 ]
 
-_MANIFEST_VERSION = 1
-_SHARD_FILE_VERSION = 1
+_MANIFEST_VERSION = 2
 
 
 def _data_hash(X, y) -> str:
@@ -113,10 +113,6 @@ def _model_seed(base_seed: int, shard: int, round_index: int, attempt: int) -> i
         entropy=int(base_seed), spawn_key=(1, int(shard), int(round_index), int(attempt))
     )
     return int(ss.generate_state(1)[0])
-
-
-def _gen_state(gen) -> dict | None:
-    return None if gen is None else gen.bit_generator.state
 
 
 # ------------------------------------------------------------- partitioner
@@ -275,7 +271,11 @@ class ShardingConfig:
         fitting, routed by distance-to-center so they warm up first.
     breaker / health:
         Shard circuit-breaker thresholds and per-shard model-health
-        thresholds (``health=None`` disables the health gate).
+        thresholds (``health=None`` disables the health gate).  The
+        breaker's clock is the round index: ``failure_threshold``
+        consecutive failed rounds open a shard, an open shard sits out
+        until ``cooldown_seconds`` rounds after the one that tripped it,
+        and ``max_opens`` trips write it off for the campaign.
     blend_boundary_predictions:
         Whether the final :class:`ShardedModel` blends near-boundary
         predictions (precision-weighted product of experts).
@@ -289,7 +289,11 @@ class ShardingConfig:
     criterion: str = "max"
     max_fit_retries: int = 2
     min_fit_points: int = 1
-    breaker: ShardBreakerConfig = field(default_factory=ShardBreakerConfig)
+    breaker: BreakerConfig = field(
+        default_factory=lambda: BreakerConfig(
+            failure_threshold=2, cooldown_seconds=3, max_opens=3
+        )
+    )
     health: HealthConfig | None = field(default_factory=HealthConfig)
     blend_boundary_predictions: bool = True
 
@@ -406,11 +410,12 @@ class ShardSupervisor:
     One instance owns, for every shard: a :class:`ModelHealth` verdict
     stream, a :class:`LastKnownGood` snapshot (restored when a fit is
     unhealthy *or* when every retry of a round failed — so a flapping
-    shard keeps serving its last healthy posterior), and a seat on the
-    shared :class:`~repro.al.resilience.ShardBreaker`.  Fit waves run
-    through :meth:`ParallelMap.map_grouped` with one affinity group per
-    shard; retries are extra waves with attempt-keyed fault draws, so the
-    whole schedule is deterministic.
+    shard keeps serving its last healthy posterior), and a seat on a
+    shared :class:`~repro.cluster.breaker.NodeCircuitBreaker` whose clock
+    is the round index (blacklisted shards report as ``"dead"``).  Fit
+    waves run through :meth:`ParallelMap.map_grouped` with one affinity
+    group per shard; retries are extra waves with attempt-keyed fault
+    draws, so the whole schedule is deterministic.
     """
 
     def __init__(
@@ -428,7 +433,7 @@ class ShardSupervisor:
         self.model_factory = model_factory
         self.pmap = pmap
         self.fault_config = fault_config
-        self.breaker = ShardBreaker(n_shards, config.breaker)
+        self.breaker = NodeCircuitBreaker(config.breaker, n_nodes=n_shards)
         self.health = ModelHealth(config.health) if config.health else None
         self.tallies = tallies if tallies is not None else GuardrailTallies()
         self.lkg = {s: LastKnownGood() for s in range(n_shards)}
@@ -454,7 +459,7 @@ class ShardSupervisor:
         return _ShardFitTask(self.model_factory, self.fault_config, self.config.seed)
 
     def serviceable_shards(self, round_index: int) -> list[int]:
-        return self.breaker.serviceable_shards(round_index)
+        return self.breaker.allowed_nodes(round_index)
 
     def fit_round(
         self, round_index: int, shard_X: dict, shard_y: dict
@@ -473,9 +478,11 @@ class ShardSupervisor:
         pending = [
             s
             for s in range(self.n_shards)
-            if self.breaker.serviceable(s, round_index)
+            if self.breaker.allow(s, round_index)
             and len(shard_y.get(s, ())) >= cfg.min_fit_points
         ]
+        # One job per fitted shard: a half-open shard's fit is its probe.
+        self.breaker.on_job_start(pending, round_index)
         expected = {
             s: _data_hash(shard_X[s], shard_y[s]) for s in pending
         }
@@ -618,8 +625,9 @@ class ShardSupervisor:
                 else 0.0
             )
             fractions.append(frac)
+            state = self.breaker.state(s, round_index)
             per_shard[s] = {
-                "state": self.breaker.state(s, round_index),
+                "state": "dead" if state == BLACKLISTED else state,
                 "availability": frac,
                 "available_rounds": rec["available_rounds"],
                 "failures": rec["failures"],
@@ -891,14 +899,12 @@ class ShardedLearner:
     routes the batch through an :class:`AcquisitionRouter`, and adopts
     each measurement into its owner's (append-only) training set.
 
-    Checkpointing writes one atomic ``manifest.json`` (the authoritative
-    measurement log plus all RNG/breaker/guardrail state) and one atomic
-    ``shard-NNN.json`` per shard (an integrity-hashed cache of that
-    shard's training rows) after every round.  :meth:`resume` replays the
-    manifest exactly once — a SIGKILL mid-round loses at most the
-    un-checkpointed round, which is then re-derived bit-identically; a
-    torn or corrupted shard file is quarantined to a ``.corrupt`` sidecar
-    and rebuilt from the manifest.
+    Checkpointing writes one atomic ``manifest.json`` after every round:
+    the measurement log plus all RNG/breaker/guardrail state.  Shard
+    training rows are not stored; :meth:`resume` rebuilds them from the
+    logged pool indices.  It replays the manifest exactly once — a
+    SIGKILL mid-round loses at most the un-checkpointed round, which is
+    then re-derived bit-identically.
 
     Parameters mirror :class:`~repro.al.learner.ActiveLearner`, plus:
 
@@ -962,13 +968,7 @@ class ShardedLearner:
         )
         template = strategy if strategy is not None else VarianceReduction()
         self.strategies = {
-            s: template.with_seed(
-                int(
-                    np.random.SeedSequence(
-                        entropy=int(config.seed), spawn_key=(3, s)
-                    ).generate_state(1)[0]
-                )
-            )
+            s: template.with_seed(self._strategy_seed(s))
             for s in range(config.n_shards)
         }
         self.strategy_name = template.name
@@ -1069,8 +1069,7 @@ class ShardedLearner:
         measured points are replayed from the manifest — never
         re-measured — and the interrupted round, if any, is re-derived
         bit-identically from restored RNG, breaker and last-known-good
-        state.  Corrupt per-shard checkpoint files are quarantined to
-        ``.corrupt`` sidecars and rebuilt from the manifest.
+        state.  A manifest of another format version is rejected.
         """
         if self._started:
             raise RuntimeError("resume() requires a freshly constructed learner")
@@ -1083,6 +1082,12 @@ class ShardedLearner:
             raise ValueError(
                 f"{directory / 'manifest.json'} is not a sharded-campaign "
                 "checkpoint"
+            )
+        if manifest.get("version") != _MANIFEST_VERSION:
+            raise ValueError(
+                f"{directory / 'manifest.json'} has manifest version "
+                f"{manifest.get('version')!r}; this build reads version "
+                f"{_MANIFEST_VERSION}"
             )
         if manifest.get("dataset_hash") != self._dataset_hash:
             raise ValueError(
@@ -1119,9 +1124,9 @@ class ShardedLearner:
                 strat._rng.bit_generator.state = states["rng"]
 
         sup = self.supervisor
-        sup.breaker = ShardBreaker.from_dict(
+        sup.breaker = NodeCircuitBreaker.from_dict(
             manifest["breaker"],
-            n_shards=self.config.n_shards,
+            n_nodes=self.config.n_shards,
             config=self.config.breaker,
         )
         for s, rec in manifest["records"].items():
@@ -1129,36 +1134,8 @@ class ShardedLearner:
         sup.total_rounds = int(manifest.get("total_fit_rounds", 0))
         sup.tallies = GuardrailTallies.from_dict(manifest.get("tallies"))
 
-        self._heal_shard_files(directory)
         self._rebuild_lkg()
         return self._loop(int(manifest["next_round"]), directory)
-
-    def _heal_shard_files(self, directory: Path) -> None:
-        """Validate per-shard checkpoint caches; quarantine + rebuild torn ones."""
-        for s in range(self.config.n_shards):
-            path = directory / f"shard-{s:03d}.json"
-            X, y = self._shard_arrays(s)
-            expected = {
-                "n_rows": int(y.shape[0]),
-                "data_hash": _data_hash(X, y),
-            }
-            ok = False
-            try:
-                payload = read_json_checked(path, kind="shard checkpoint")
-                ok = (
-                    int(payload.get("n_rows", -1)) == expected["n_rows"]
-                    and payload.get("data_hash") == expected["data_hash"]
-                    and int(payload.get("shard", -1)) == s
-                )
-            except (ValueError, OSError):
-                ok = False
-            if ok:
-                continue
-            tm.count("shard.checkpoint.corrupt")
-            tm.event("shard.checkpoint_corrupt", shard=s, path=str(path))
-            if path.exists():
-                path.replace(path.with_name(path.name + ".corrupt"))
-            self._write_shard_file(directory, s)
 
     def _rebuild_lkg(self) -> None:
         """Re-materialize each shard's last-known-good from its seed key.
@@ -1291,28 +1268,14 @@ class ShardedLearner:
 
     # ---------------------------------------------------------- checkpoints
 
-    def _write_shard_file(self, directory: Path, shard: int) -> None:
-        X, y = self._shard_arrays(shard)
-        write_json_atomic(
-            {
-                "version": _SHARD_FILE_VERSION,
-                "shard": int(shard),
-                "n_rows": int(y.shape[0]),
-                "data_hash": _data_hash(X, y),
-                "X": X.tolist(),
-                "y": y.tolist(),
-            },
-            directory / f"shard-{shard:03d}.json",
-        )
-
     def _write_checkpoint(self, directory: Path, *, next_round: int) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         sup = self.supervisor
         strategy_rng = {}
         for s, strat in self.strategies.items():
             strategy_rng[str(s)] = {
-                "tie": _gen_state(getattr(strat, "_tie_rng_", None)),
-                "rng": _gen_state(getattr(strat, "_rng", None)),
+                "tie": generator_state(getattr(strat, "_tie_rng_", None)),
+                "rng": generator_state(getattr(strat, "_rng", None)),
             }
         write_json_atomic(
             {
@@ -1327,7 +1290,7 @@ class ShardedLearner:
                 "cumulative_cost": self._cumulative_cost,
                 "measurements": self._measurements,
                 "rounds": self._rounds,
-                "rng_state": _gen_state(self._rng),
+                "rng_state": generator_state(self._rng),
                 "strategy_rng": strategy_rng,
                 "breaker": sup.breaker.as_dict(),
                 "records": {str(s): r for s, r in sup.records.items()},
@@ -1336,8 +1299,6 @@ class ShardedLearner:
             },
             directory / "manifest.json",
         )
-        for s in range(self.config.n_shards):
-            self._write_shard_file(directory, s)
         tm.count("shard.checkpoint.writes")
 
 

@@ -78,7 +78,9 @@ class BreakerConfig:
         ``window`` jobs on the node failed (catches flaky nodes that
         intersperse successes).  ``None`` (default) disables it.
     cooldown_seconds:
-        Simulated seconds an open breaker waits before going half-open.
+        Time an open breaker waits before going half-open, measured in
+        the caller's clock: simulated seconds for the scheduler, AL
+        rounds for the shard supervisor (:mod:`repro.al.sharding`).
     half_open_max_probes:
         Concurrent probe jobs allowed on a half-open node.
     max_opens:
@@ -125,8 +127,11 @@ class NodeCircuitBreaker:
     Time is supplied by the caller on every query (the scheduler's
     simulated clock, offset to the campaign-global timeline by
     :class:`~repro.cluster.scheduler.SlurmSimulator`'s
-    ``breaker_clock_offset``); open->half-open transitions are resolved
-    lazily against it, so the breaker has no clock of its own.
+    ``breaker_clock_offset``; or the AL round index when
+    :class:`~repro.al.sharding.ShardSupervisor` runs one breaker seat per
+    shard); open->half-open transitions are resolved lazily against it,
+    so the breaker has no clock of its own and :meth:`as_dict` /
+    :meth:`from_dict` round-trip it exactly.
 
     Counters (``n_opened``, ``n_closed``, ``n_blacklisted``, ``n_probes``)
     accumulate over the breaker's lifetime for campaign accounting.
@@ -244,6 +249,52 @@ class NodeCircuitBreaker:
                 tripped = rate >= cfg.window_failure_rate
         if tripped:
             self._open(int(node), ns, t)
+
+    # -------------------------------------------------------------- persistence
+
+    def as_dict(self) -> dict:
+        """JSON-ready snapshot of every node's state and the counters."""
+        return {
+            "nodes": [
+                {
+                    "state": ns.state,
+                    "consecutive_failures": ns.consecutive_failures,
+                    "recent": list(ns.recent),
+                    "opened_at": ns.opened_at,
+                    "n_opens": ns.n_opens,
+                    "probing": ns.probing,
+                }
+                for ns in self._nodes.values()
+            ],
+            "n_opened": self.n_opened,
+            "n_closed": self.n_closed,
+            "n_blacklisted": self.n_blacklisted,
+            "n_probes": self.n_probes,
+        }
+
+    @classmethod
+    def from_dict(
+        cls, data: dict, *, n_nodes: int, config: BreakerConfig | None = None
+    ) -> "NodeCircuitBreaker":
+        """Rebuild a breaker from :meth:`as_dict` output."""
+        nodes = data["nodes"]
+        if len(nodes) != n_nodes:
+            raise ValueError(
+                f"breaker state has {len(nodes)} nodes, expected {n_nodes}"
+            )
+        breaker = cls(config, n_nodes=n_nodes)
+        for i, d in enumerate(nodes):
+            breaker._nodes[i] = _NodeState(
+                state=str(d["state"]),
+                consecutive_failures=int(d["consecutive_failures"]),
+                recent=deque(bool(v) for v in d["recent"]),
+                opened_at=float(d["opened_at"]),
+                n_opens=int(d["n_opens"]),
+                probing=int(d["probing"]),
+            )
+        for name in ("n_opened", "n_closed", "n_blacklisted", "n_probes"):
+            setattr(breaker, name, int(data[name]))
+        return breaker
 
     # ----------------------------------------------------------------- internal
 

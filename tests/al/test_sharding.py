@@ -5,11 +5,12 @@ AcquisitionRouter via ShardedLearner, ShardedModel) plus the acceptance
 criteria: backend/worker bit-identity and the 2-of-8 chaos run.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.al.partition import random_partition
-from repro.al.resilience import ShardBreaker, ShardBreakerConfig
 from repro.al.sharding import (
     InputPartitioner,
     ShardedLearner,
@@ -18,6 +19,14 @@ from repro.al.sharding import (
     mixed_operator_pool,
 )
 from repro.al.strategies import CostEfficiency, RandomSampling, VarianceReduction
+from repro.cluster.breaker import (
+    BLACKLISTED,
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    BreakerConfig,
+    NodeCircuitBreaker,
+)
 from repro.cluster.faults import ShardFaultConfig
 from repro.gp.gpr import GaussianProcessRegressor
 from repro.parallel import ParallelMap
@@ -97,53 +106,94 @@ def test_config_validation():
             ShardingConfig(**bad)
 
 
-# -------------------------------------------------------------- ShardBreaker
+# ------------------------------------------------- shard breaker (rounds as t)
 
 
 def test_breaker_opens_after_consecutive_failures():
-    cfg = ShardBreakerConfig(open_after=2, cooldown_rounds=2, blacklist_after=3)
-    b = ShardBreaker(3, cfg)
-    assert b.state(0, 0) == "closed"
+    cfg = BreakerConfig(failure_threshold=2, cooldown_seconds=3, max_opens=3)
+    b = NodeCircuitBreaker(cfg, n_nodes=3)
+    assert b.state(0, 0) == CLOSED
     b.record_failure(0, 0)
-    assert b.state(0, 1) == "closed"  # one strike is not enough
+    assert b.state(0, 1) == CLOSED  # one strike is not enough
     b.record_failure(0, 1)
-    assert b.state(0, 2) == "open"
-    assert not b.serviceable(0, 2)
-    assert b.serviceable_shards(2) == [1, 2]
+    assert b.state(0, 2) == OPEN
+    assert not b.allow(0, 2)
+    assert b.allowed_nodes(2) == [1, 2]
     # After the cooldown the shard gets a half-open probe.
-    assert b.state(0, 4) == "half_open"
+    assert b.state(0, 4) == HALF_OPEN
+    b.on_job_start([0], 4)
     b.record_success(0, 4)
-    assert b.state(0, 5) == "closed"
+    assert b.state(0, 5) == CLOSED
     assert b.n_probes == 1
 
 
 def test_breaker_blacklists_flapping_shard():
-    cfg = ShardBreakerConfig(open_after=1, cooldown_rounds=1, blacklist_after=2)
-    b = ShardBreaker(2, cfg)
+    cfg = BreakerConfig(failure_threshold=1, cooldown_seconds=2, max_opens=2)
+    b = NodeCircuitBreaker(cfg, n_nodes=2)
     b.record_failure(0, 0)          # open #1
-    assert b.state(0, 1) == "open"
+    assert b.state(0, 1) == OPEN
+    b.on_job_start([0], 2)
     b.record_failure(0, 2)          # half-open probe fails -> open #2 -> dead
-    assert b.state(0, 3) == "dead"
-    assert b.dead_shards() == [0]
+    assert b.state(0, 3) == BLACKLISTED
+    assert [s for s in range(2) if b.state(s, 3) == BLACKLISTED] == [0]
     assert b.n_blacklisted == 1
     # A dead shard ignores further outcomes.
     b.record_success(0, 4)
-    assert b.state(0, 5) == "dead"
+    assert b.state(0, 5) == BLACKLISTED
 
 
 def test_breaker_round_trips_through_dict():
-    cfg = ShardBreakerConfig(open_after=1, cooldown_rounds=2, blacklist_after=3)
-    b = ShardBreaker(4, cfg)
+    cfg = BreakerConfig(failure_threshold=1, cooldown_seconds=3, max_opens=3)
+    b = NodeCircuitBreaker(cfg, n_nodes=4)
     b.record_failure(1, 0)
     b.record_failure(3, 0)
+    b.on_job_start([3], 3)
     b.record_success(3, 3)
-    restored = ShardBreaker.from_dict(b.as_dict(), n_shards=4, config=cfg)
+    restored = NodeCircuitBreaker.from_dict(b.as_dict(), n_nodes=4, config=cfg)
     for shard in range(4):
         for r in range(6):
             assert restored.state(shard, r) == b.state(shard, r)
     assert restored.n_opened == b.n_opened
     with pytest.raises(ValueError):
-        ShardBreaker.from_dict(b.as_dict(), n_shards=5, config=cfg)
+        NodeCircuitBreaker.from_dict(b.as_dict(), n_nodes=5, config=cfg)
+
+
+def test_breaker_dict_round_trip_preserves_every_state():
+    """Open mid-cooldown, half-open with a probe in flight, blacklisted and
+    closed-with-history nodes survive JSON and keep evolving identically."""
+    cfg = BreakerConfig(
+        failure_threshold=2, window=2, cooldown_seconds=3,
+        half_open_max_probes=2, max_opens=2,
+    )
+    b = NodeCircuitBreaker(cfg, n_nodes=4)
+    b.record_failure(0, 9)
+    b.record_failure(0, 9)          # node 0: open until t=12
+    b.record_failure(1, 5)
+    b.record_failure(1, 5)
+    b.on_job_start([1], 10)         # node 1: half-open, one probe in flight
+    b.record_failure(2, 0)
+    b.record_failure(2, 0)
+    b.on_job_start([2], 3)
+    b.record_failure(2, 3)          # node 2: second open -> blacklisted
+    b.record_success(3, 9)
+    b.record_failure(3, 9.5)        # node 3: closed, window [ok, failed]
+    assert b.snapshot(10) == {0: OPEN, 1: HALF_OPEN, 2: BLACKLISTED, 3: CLOSED}
+
+    payload = json.loads(json.dumps(b.as_dict()))
+    restored = NodeCircuitBreaker.from_dict(payload, n_nodes=4, config=cfg)
+    assert restored.as_dict() == b.as_dict()
+    assert restored.allow(1, 10) and b.allow(1, 10)  # 1 of 2 probes used
+
+    for br in (b, restored):
+        br.record_failure(3, 11)    # second consecutive failure: trips
+        br.record_success(1, 11)    # in-flight probe succeeds: closes
+    assert restored.as_dict() == b.as_dict()
+    assert restored.snapshot(12) == b.snapshot(12) == {
+        0: HALF_OPEN, 1: CLOSED, 2: BLACKLISTED, 3: OPEN,
+    }
+    assert restored.snapshot(14) == b.snapshot(14)
+    with pytest.raises(ValueError, match="4 nodes, expected 5"):
+        NodeCircuitBreaker.from_dict(payload, n_nodes=5, config=cfg)
 
 
 # --------------------------------------------------------- Strategy.with_seed
