@@ -28,6 +28,7 @@ from .guardrails import (
     GuardrailConfig,
     GuardrailTallies,
     HealthConfig,
+    HealthGate,
     HealthReport,
     LastKnownGood,
     ModelHealth,
@@ -120,6 +121,7 @@ __all__ = [
     "HealthReport",
     "ModelHealth",
     "LastKnownGood",
+    "HealthGate",
     "apply_remediation",
     "DriftConfig",
     "DriftDetector",

@@ -53,11 +53,11 @@ from .guardrails import (
     DriftDetector,
     GuardrailConfig,
     GuardrailTallies,
-    LastKnownGood,
-    ModelHealth,
+    HealthGate,
     apply_remediation,
+    fit_with_jitter,
 )
-from .learner import default_model_factory
+from .learner import _GuardedRefits, default_model_factory
 from .pool import CandidatePool
 from .resilience import FailureAccounting, QuarantinePolicy, RetryPolicy
 from .session import generator_state, read_json_checked, write_json_atomic
@@ -198,10 +198,10 @@ class CampaignCheckpoint:
     executor_rng_state: dict | None = None
     strategy_rng_state: dict | None = None
     # Guardrail bookkeeping (None for unguarded campaigns and pre-guardrail
-    # checkpoints): tallies, escalation level, reference LML, stop reason.
-    # The drift detector and last-known-good snapshot restart cold on
-    # resume, so guarded campaigns resume *correctly* but not bit-
-    # identically (see docs/GUARDRAILS.md).
+    # checkpoints): tallies, escalation level, reference LML, stop reason,
+    # node-breaker state.  The drift detector and last-known-good snapshot
+    # restart cold on resume, so health-checked campaigns resume
+    # *correctly* but not bit-identically (see docs/GUARDRAILS.md).
     guardrail_state: dict | None = None
 
 
@@ -256,7 +256,7 @@ class _CampaignState:
     stop_reason: str = "completed"
 
 
-class OnlineCampaign:
+class OnlineCampaign(_GuardedRefits):
     """Drives AL rounds through the cluster simulator.
 
     Parameters
@@ -302,7 +302,7 @@ class OnlineCampaign:
         defaults) enables post-fit health checks with last-known-good
         rollback and escalating remediation, Page-Hinkley drift detection
         on prediction residuals, and the wall-clock/cost watchdog.
-        Guarded campaigns checkpoint and resume *correctly* but not
+        Health-checked campaigns checkpoint and resume *correctly* but not
         bit-identically: the drift detector and the rollback snapshot
         restart cold on resume.
     breaker:
@@ -312,7 +312,8 @@ class OnlineCampaign:
         defaults) is threaded through every scheduler wave on the
         campaign-global clock: nodes that keep failing jobs are opened,
         probed after a cooldown, and eventually blacklisted; jobs route
-        around them.  The breaker state restarts cold on resume.
+        around them.  The breaker state is checkpointed and restored on
+        resume.
     registry:
         ``None`` (default) trains without serving.  A
         :class:`~repro.serve.registry.ModelRegistry` (or a path to one)
@@ -372,20 +373,15 @@ class OnlineCampaign:
         self.registry = registry
 
         guard = self.guardrails
-        self._health = (
-            ModelHealth(guard.health) if guard and guard.check_health else None
+        self._gate = (
+            HealthGate(guard.health, max_rollbacks=guard.max_rollbacks)
+            if guard and guard.check_health
+            else None
         )
         self._drift = (
             DriftDetector(guard.drift) if guard and guard.check_drift else None
         )
-        self._lkg = LastKnownGood()
         self._tallies = GuardrailTallies()
-        self._remediation_level = 0
-        self._prev_lml_pp: float | None = None
-        self._last_report = None  # HealthReport of the most recent gate check
-        # Breaker counters already accounted for by a resumed checkpoint
-        # (the live breaker restarts its own counters from zero).
-        self._breaker_base = (0, 0, 0)
 
     # --------------------------------------------------------------- submission
 
@@ -503,103 +499,47 @@ class OnlineCampaign:
     # ------------------------------------------------------------ model path
 
     def _fit_model(
-        self, measured_X, measured_y, *, fallback: GaussianProcessRegressor | None = None
+        self, X, y, *, fallback: GaussianProcessRegressor | None = None
     ) -> GaussianProcessRegressor:
         """Fit a fresh model, escalating jitter on Cholesky failure.
 
         If every escalation fails and a previous round's fitted model is
         available, keep it (a stale posterior beats a dead campaign).
         """
-        X = np.vstack(measured_X)
-        y = np.asarray(measured_y, dtype=float)
-        last_exc: Exception | None = None
-        for jitter_scale in (1.0, 1e3, 1e6):
-            model = self.model_factory()
-            if self.guardrails is not None and self._remediation_level > 0:
-                apply_remediation(model, self._remediation_level, self.guardrails)
-                self._tallies.n_remediations += 1
-            model.jitter *= jitter_scale
-            if jitter_scale > 1.0:
-                tm.count("campaign.fit.jitter_escalation")
-            try:
-                return model.fit(X, y)
-            except np.linalg.LinAlgError as exc:
-                tm.count("campaign.fit.cholesky_failure")
-                last_exc = exc
-        if fallback is not None and fallback.fitted:
-            tm.count("campaign.fit.fallback_model")
-            warnings.warn(
-                "GP refit failed (Cholesky) even with escalated jitter; "
-                "keeping the previous round's model",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return fallback
-        assert last_exc is not None
-        raise last_exc
+        model = self.model_factory()
+        if self._gate is not None and self._gate.level > 0:
+            apply_remediation(model, self._gate.level, self.guardrails)
+            self._tallies.n_remediations += 1
+        try:
+            return fit_with_jitter(model, X, y, metric="campaign.fit")
+        except np.linalg.LinAlgError:
+            if fallback is None or not fallback.fitted:
+                raise
+        tm.count("campaign.fit.fallback_model")
+        warnings.warn(
+            "GP refit failed (Cholesky) even with escalated jitter; "
+            "keeping the previous round's model",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return fallback
 
     def _advance_model(
         self,
         model: GaussianProcessRegressor | None,
-        state: _CampaignState,
+        X: np.ndarray,
+        y: np.ndarray,
         round_index: int,
-    ) -> GaussianProcessRegressor:
-        """Refit (or rank-1-update, with ``fast_refits``) the round model."""
-        if (
-            self.fast_refits
-            and model is not None
-            and model.fitted
-            and round_index % self.refit_every != 0
-        ):
-            # Fold rows measured since the last fit into the posterior
-            # (rank-1 updates), hyperparameters held fixed this round.
+    ) -> tuple[GaussianProcessRegressor, bool]:
+        """The round model, refitted or rank-1-updated; and whether refitted."""
+        if not self._refit_due(model, round_index):
             tm.count("campaign.fit.incremental")
-            n_fitted = model.X_train_.shape[0]
-            if n_fitted < len(state.measured_y):
-                X = np.vstack(state.measured_X)
-                y = np.asarray(state.measured_y, dtype=float)
-                try:
-                    model.update(X[n_fitted:], y[n_fitted:])
-                except np.linalg.LinAlgError:
-                    return self._fit_model(
-                        state.measured_X, state.measured_y, fallback=model
-                    )
-            return model
+            try:
+                return self._fold_new_rows(model, X, y), False
+            except np.linalg.LinAlgError:
+                return self._fit_model(X, y, fallback=model), False
         tm.count("campaign.fit.full")
-        return self._fit_model(state.measured_X, state.measured_y, fallback=model)
-
-    def _replay_model(self, state: _CampaignState) -> GaussianProcessRegressor | None:
-        """Rebuild the in-round model of a resumed ``fast_refits`` campaign.
-
-        Replays the exact fit/update sequence the original process
-        performed (recorded in ``fit_counts``), so the resumed posterior is
-        bit-identical.  Without ``fast_refits`` every round refits from
-        scratch, so there is nothing to replay.
-        """
-        if not self.fast_refits or not state.measured_y:
-            return None
-        X = np.vstack(state.measured_X)
-        y = np.asarray(state.measured_y, dtype=float)
-        model: GaussianProcessRegressor | None = None
-        for round_index, n_now in enumerate(state.fit_counts):
-            if n_now == 0:
-                continue
-            if (
-                model is not None
-                and model.fitted
-                and round_index % self.refit_every != 0
-            ):
-                n_fitted = model.X_train_.shape[0]
-                if n_fitted < n_now:
-                    try:
-                        model.update(X[n_fitted:n_now], y[n_fitted:n_now])
-                    except np.linalg.LinAlgError:
-                        model = self._fit_model(
-                            X[:n_now], y[:n_now], fallback=model
-                        )
-            else:
-                model = self._fit_model(X[:n_now], y[:n_now], fallback=model)
-        return model
+        return self._fit_model(X, y, fallback=model), True
 
     # ----------------------------------------------------------- guardrails
 
@@ -607,28 +547,15 @@ class OnlineCampaign:
     def _guarded(self) -> bool:
         return self.guardrails is not None or self.breaker is not None
 
-    def _sync_breaker_tallies(self) -> None:
-        """Fold the live breaker's lifetime counters into the tallies.
-
-        ``_breaker_base`` carries counts restored from a checkpoint (the
-        breaker object itself restarts cold on resume).
-        """
-        if self.breaker is None:
-            return
-        base = self._breaker_base
-        self._tallies.n_breaker_opens = base[0] + self.breaker.n_opened
-        self._tallies.n_breaker_probes = base[1] + self.breaker.n_probes
-        self._tallies.n_breaker_blacklisted = base[2] + self.breaker.n_blacklisted
-
     def _guardrail_state_payload(self, state: _CampaignState) -> dict | None:
         if not self._guarded:
             return None
-        self._sync_breaker_tallies()
+        self._tallies.sync_breaker(self.breaker)
         return {
             "tallies": self._tallies.as_dict(),
-            "remediation_level": self._remediation_level,
-            "prev_lml_per_point": self._prev_lml_pp,
+            **(self._gate.as_dict() if self._gate is not None else {}),
             "stop_reason": state.stop_reason,
+            "breaker": self.breaker.as_dict() if self.breaker is not None else None,
         }
 
     # ------------------------------------------------------------ checkpointing
@@ -734,9 +661,7 @@ class OnlineCampaign:
             if have != want
         ]
         cand = np.asarray(checkpoint.candidates, dtype=float)
-        if cand.shape != cfg.candidates.shape or not np.allclose(
-            cand, cfg.candidates
-        ):
+        if not np.array_equal(cand, cfg.candidates):
             mismatches.append("candidates")
         if mismatches:
             raise ValueError(
@@ -774,15 +699,19 @@ class OnlineCampaign:
         if checkpoint.guardrail_state:
             gs = checkpoint.guardrail_state
             self._tallies = GuardrailTallies.from_dict(gs.get("tallies"))
-            self._remediation_level = int(gs.get("remediation_level", 0))
-            prev = gs.get("prev_lml_per_point")
-            self._prev_lml_pp = None if prev is None else float(prev)
+            if self._gate is not None:
+                self._gate = HealthGate.from_dict(
+                    gs,
+                    health=self.guardrails.health,
+                    max_rollbacks=self.guardrails.max_rollbacks,
+                )
             state.stop_reason = str(gs.get("stop_reason", "completed"))
-            self._breaker_base = (
-                self._tallies.n_breaker_opens,
-                self._tallies.n_breaker_probes,
-                self._tallies.n_breaker_blacklisted,
-            )
+            if self.breaker is not None and gs.get("breaker") is not None:
+                self.breaker = NodeCircuitBreaker.from_dict(
+                    gs["breaker"],
+                    n_nodes=self.breaker.n_nodes,
+                    config=self.breaker.config,
+                )
         with tm.span(
             "campaign",
             mode="resume",
@@ -791,7 +720,16 @@ class OnlineCampaign:
             next_round=state.next_round,
             seed_index=state.seed_index,
         ):
-            model = self._replay_model(state)
+            # Replay the recorded fit/update sequence: a bit-identical model.
+            model = None
+            if self.fast_refits and state.measured_y:
+                X = np.vstack(state.measured_X)
+                y = np.asarray(state.measured_y, dtype=float)
+                for round_index, n_now in enumerate(state.fit_counts):
+                    if n_now:
+                        model, _ = self._advance_model(
+                            model, X[:n_now], y[:n_now], round_index
+                        )
             if checkpoint_path == "same":
                 checkpoint_path = path
             return self._continue(state, model, checkpoint_path)
@@ -835,61 +773,6 @@ class OnlineCampaign:
         )
         return True
 
-    def _health_gate(
-        self,
-        model: GaussianProcessRegressor,
-        state: _CampaignState,
-        round_index: int,
-    ) -> GaussianProcessRegressor:
-        """Check a freshly (re)fitted model; roll back when unhealthy.
-
-        A healthy fit becomes the new last-known-good snapshot and resets
-        the remediation escalation.  An unhealthy one is replaced by the
-        snapshot re-materialized on the current training set, and the next
-        full refit runs remediated (more restarts, then a raised noise
-        floor).  After ``max_rollbacks`` consecutive rejections the latest
-        fit is accepted anyway — the workload may genuinely have changed.
-        """
-        assert self._health is not None
-        report = self._health.check(model, prev_lml_per_point=self._prev_lml_pp)
-        self._last_report = report
-        guard = self.guardrails
-        if report.healthy:
-            self._lkg.remember(model)
-            if report.n_train >= self._health.config.min_points:
-                # Tiny-fit LML is not a comparable baseline (see
-                # HealthConfig.min_points).
-                self._prev_lml_pp = report.lml_per_point
-            self._remediation_level = 0
-            return model
-        self._tallies.n_unhealthy_fits += 1
-        if (
-            self._lkg.available
-            and self._remediation_level < guard.max_rollbacks
-        ):
-            X = np.vstack(state.measured_X)
-            y = np.asarray(state.measured_y, dtype=float)
-            try:
-                rolled_back = self._lkg.restore(X, y)
-            except np.linalg.LinAlgError:
-                pass  # snapshot no longer extendable; keep the fresh fit
-            else:
-                self._tallies.n_rollbacks += 1
-                self._remediation_level += 1
-                tm.count("guardrail.rollback")
-                tm.event(
-                    "guardrail.rollback",
-                    round=round_index,
-                    issues=list(report.issues),
-                    remediation_level=self._remediation_level,
-                )
-                return rolled_back
-        # Out of rollbacks (or nothing to roll back to): accept the fit.
-        self._lkg.remember(model)
-        self._prev_lml_pp = report.lml_per_point
-        self._remediation_level = 0
-        return model
-
     def _publish(
         self,
         model: GaussianProcessRegressor,
@@ -930,9 +813,8 @@ class OnlineCampaign:
                 state.measured_y = state.measured_y[n_trimmed:]
                 self._tallies.n_trimmed_points += n_trimmed
         state.fit_counts = [0] * len(state.fit_counts)
-        self._lkg.reset()
-        self._prev_lml_pp = None
-        self._remediation_level = 0
+        if self._gate is not None:
+            self._gate.reset()
         if self._drift is not None:
             self._drift.reset()
         tm.count("guardrail.drift")
@@ -982,18 +864,17 @@ class OnlineCampaign:
                     max_sd = float("nan")
                     k = 1
                 else:
-                    full_fit = (
-                        not self.fast_refits
-                        or model is None
-                        or not model.fitted
-                        or round_index % self.refit_every == 0
-                    )
-                    fresh = self._advance_model(model, state, round_index)
+                    X = np.vstack(state.measured_X)
+                    y = np.asarray(state.measured_y, dtype=float)
+                    fresh, full_fit = self._advance_model(model, X, y, round_index)
                     model = fresh
                     publish_health = None
-                    if self._health is not None and full_fit:
-                        model = self._health_gate(fresh, state, round_index)
-                        publish_health = self._last_report
+                    if self._gate is not None and full_fit:
+                        model = self._gate_refit(fresh, X, y, round=round_index)
+                        publish_health = self._gate.last_report
+                        t = self._tallies
+                        t.n_unhealthy_fits += not publish_health.healthy
+                        t.n_rollbacks += model is not fresh
                     if full_fit and model is fresh:
                         # Healthy (or force-accepted) full refit: make it the
                         # served version.  Rollback rounds publish nothing —
@@ -1062,18 +943,18 @@ class OnlineCampaign:
             # Persist the stop reason so a resume doesn't replay the stop.
             self._checkpoint(state, checkpoint_path)
         if state.measured_y:
+            X = np.vstack(state.measured_X)
             final_model = self._fit_model(
-                state.measured_X, state.measured_y, fallback=model
+                X, np.asarray(state.measured_y, dtype=float), fallback=model
             )
             final_health = None
-            if self._health is not None and final_model.fitted:
-                final_health = self._health.check(
-                    final_model, prev_lml_per_point=self._prev_lml_pp
+            if self._gate is not None and final_model.fitted:
+                final_health = self._gate.health.check(
+                    final_model, prev_lml_per_point=self._gate.prev_lml_per_point
                 )
             self._publish(
                 final_model, health=final_health, round_index=None, final=True
             )
-            X = np.vstack(state.measured_X)
         else:
             warnings.warn(
                 "campaign produced no usable observations; returning an "
@@ -1086,12 +967,8 @@ class OnlineCampaign:
         acct = state.accounting
         tallies: GuardrailTallies | None = None
         if self._guarded:
-            self._sync_breaker_tallies()
+            self._tallies.sync_breaker(self.breaker)
             tallies = self._tallies
-            acct.n_rollbacks = tallies.n_rollbacks
-            acct.n_drift_events = tallies.n_drift_events
-            acct.n_breaker_opens = tallies.n_breaker_opens
-            acct.n_watchdog_stops = tallies.n_watchdog_stops
         return CampaignResult(
             X=X,
             y=np.asarray(state.measured_y, dtype=float),

@@ -16,8 +16,12 @@ subsequent selection.  This module supplies the defensive layer:
 * :class:`LastKnownGood` keeps a frozen :meth:`clone_fitted` copy of the
   last healthy model and can re-materialize it on the current (append-only)
   training set, so an unhealthy fit is *rolled back* rather than used;
+* :class:`HealthGate` is the one guarded-refit policy of every learner:
+  check a fresh fit, roll an unhealthy one back, track the remediation
+  level and the LML baseline;
 * :func:`apply_remediation` escalates the next refit after a rollback:
   more optimizer restarts first, then a raised noise floor;
+* :func:`fit_with_jitter` retries a failed Cholesky with more jitter;
 * :class:`DriftDetector` runs a two-sided Page-Hinkley changepoint test on
   the stream of standardized prediction residuals of newly measured points
   — the detector for the ``drift`` fault in :mod:`repro.cluster.faults`,
@@ -35,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+import copy
+
 import numpy as np
 
 from .. import telemetry as tm
@@ -46,7 +52,9 @@ __all__ = [
     "HealthReport",
     "ModelHealth",
     "LastKnownGood",
+    "HealthGate",
     "apply_remediation",
+    "fit_with_jitter",
     "DriftConfig",
     "DriftDetector",
     "GuardrailConfig",
@@ -470,6 +478,75 @@ class LastKnownGood:
         self._n_rows = 0
 
 
+class HealthGate:
+    """The guarded-refit policy: health check, LKG rollback, remediation level.
+
+    :meth:`gate` accepts a fresh fit that is healthy, that has no
+    last-known-good to fall back to, or that arrives with ``max_rollbacks``
+    consecutive rollbacks spent (``None``: no cap).  Accepting remembers it
+    as the LKG, resets ``level`` and, from ``HealthConfig.min_points`` rows
+    on, moves the per-point LML baseline.  Otherwise the LKG is restored on
+    the current rows and ``level`` (the caller's :func:`apply_remediation`
+    dose) rises; a restore that raises ``LinAlgError`` keeps the fresh fit.
+    ``health=None`` accepts every fit unchecked.
+    """
+
+    def __init__(self, health: HealthConfig | None = None, *, max_rollbacks=None):
+        self.health = ModelHealth(health) if health is not None else None
+        self.max_rollbacks = max_rollbacks
+        self.lkg = LastKnownGood()
+        self.prev_lml_per_point: float | None = None
+        self.level = 0
+        self.last_report: HealthReport | None = None
+
+    def gate(self, model, X, y, alpha=None) -> GaussianProcessRegressor:
+        """``model`` if accepted, else the LKG extended to ``X, y, alpha``."""
+        report = None
+        if self.health is not None:
+            report = self.health.check(
+                model, prev_lml_per_point=self.prev_lml_per_point
+            )
+            self.last_report = report
+            capped = (
+                self.max_rollbacks is not None and self.level >= self.max_rollbacks
+            )
+            if not (report.healthy or capped) and self.lkg.available:
+                try:
+                    restored = self.lkg.restore(X, y, alpha)
+                except np.linalg.LinAlgError:
+                    pass  # snapshot no longer extendable; keep the fresh fit
+                else:
+                    self.level += 1
+                    return restored
+        self.lkg.remember(model)
+        if report is not None and report.n_train >= self.health.config.min_points:
+            self.prev_lml_per_point = report.lml_per_point
+        self.level = 0
+        return model
+
+    def reset(self) -> None:
+        """Forget the LKG, the baseline and the level."""
+        self.lkg.reset()
+        self.prev_lml_per_point = None
+        self.level = 0
+
+    def as_dict(self) -> dict:
+        return {
+            "remediation_level": self.level,
+            "prev_lml_per_point": self.prev_lml_per_point,
+        }
+
+    @classmethod
+    def from_dict(cls, data, *, health=None, max_rollbacks=None) -> "HealthGate":
+        """Rebuild from :meth:`as_dict` output; the LKG restarts cold."""
+        gate = cls(health, max_rollbacks=max_rollbacks)
+        data = data or {}
+        gate.level = int(data.get("remediation_level", 0))
+        prev = data.get("prev_lml_per_point")
+        gate.prev_lml_per_point = None if prev is None else float(prev)
+        return gate
+
+
 def apply_remediation(
     model: GaussianProcessRegressor,
     level: int,
@@ -495,6 +572,29 @@ def apply_remediation(
     tm.count("guardrail.remediation")
     tm.event("guardrail.remediation", level=level, n_restarts=model.n_restarts)
     return model
+
+
+def fit_with_jitter(model, X, y, *, metric: str | None = None):
+    """Fit ``model``; on ``LinAlgError`` retry with the jitter x1e3, x1e6.
+
+    Each retry fits a copy of ``model`` as it was before the first attempt;
+    the last error is re-raised.  ``metric`` prefixes the
+    ``.jitter_escalation`` / ``.cholesky_failure`` counters.
+    """
+    template = copy.deepcopy(model)
+    for scale in (1.0, 1e3, 1e6):
+        if scale > 1.0:
+            model = copy.deepcopy(template)
+            model.jitter *= scale
+            if metric:
+                tm.count(f"{metric}.jitter_escalation")
+        try:
+            return model.fit(X, y)
+        except np.linalg.LinAlgError:
+            if metric:
+                tm.count(f"{metric}.cholesky_failure")
+            if scale == 1e6:
+                raise
 
 
 # ------------------------------------------------------------------ drift
@@ -675,6 +775,13 @@ class GuardrailTallies:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+    def sync_breaker(self, breaker) -> None:
+        """Copy a ``NodeCircuitBreaker``'s lifetime counters (if any)."""
+        if breaker is not None:
+            self.n_breaker_opens = breaker.n_opened
+            self.n_breaker_probes = breaker.n_probes
+            self.n_breaker_blacklisted = breaker.n_blacklisted
 
     @classmethod
     def from_dict(cls, data: dict | None) -> "GuardrailTallies":

@@ -130,7 +130,45 @@ class ALTrace:
         return self.records[-1]
 
 
-class ActiveLearner:
+class _GuardedRefits:
+    """Refit cadence and health gating shared by the AL loops.
+
+    Hosts need ``fast_refits``, ``refit_every`` and ``_gate`` (a
+    :class:`~repro.al.guardrails.HealthGate` or ``None``).
+    """
+
+    def _refit_due(self, model: GaussianProcessRegressor | None, index: int) -> bool:
+        """Full refit unless fast refits hold a fitted model off schedule."""
+        return not (
+            self.fast_refits
+            and model is not None
+            and model.fitted
+            and index % self.refit_every != 0
+        )
+
+    @staticmethod
+    def _fold_new_rows(model, X, y, alpha=None) -> GaussianProcessRegressor:
+        """Rank-1-update ``model`` with rows ``X[n_fitted:]`` (theta held)."""
+        n = model.X_train_.shape[0]
+        if n < len(y):
+            model.update(X[n:], y[n:], alpha=None if alpha is None else alpha[n:])
+        return model
+
+    def _gate_refit(self, fresh, X, y, alpha=None, **where):
+        """Pass a full refit through the gate; trace a rollback at ``where``."""
+        model = self._gate.gate(fresh, X, y, alpha)
+        if model is not fresh:
+            tm.count("guardrail.rollback")
+            tm.event(
+                "guardrail.rollback",
+                **where,
+                issues=list(self._gate.last_report.issues),
+                remediation_level=self._gate.level,
+            )
+        return model
+
+
+class ActiveLearner(_GuardedRefits):
     """Pool-based active learning with GPR on one dataset partition.
 
     Parameters
@@ -262,21 +300,19 @@ class ActiveLearner:
         self.repeat_noise_variance = float(repeat_noise_variance)
 
         # Guardrails (imported lazily: guardrails.py imports from gp only).
-        from .guardrails import GuardrailConfig, LastKnownGood, ModelHealth
+        from .guardrails import GuardrailConfig, HealthGate
 
         if guardrails is True:
             guardrails = GuardrailConfig()
         self.guardrails = guardrails or None
-        self._health = (
-            ModelHealth(self.guardrails.health)
+        self._gate = (
+            HealthGate(
+                self.guardrails.health, max_rollbacks=self.guardrails.max_rollbacks
+            )
             if self.guardrails is not None and self.guardrails.check_health
             else None
         )
-        self._lkg = LastKnownGood()
-        self._prev_lml_pp: float | None = None
-        self._remediation_level = 0
         self.n_rollbacks = 0
-        self._last_report = None  # HealthReport of the most recent gate check
 
         if registry is not None and not hasattr(registry, "publish"):
             from ..serve.registry import ModelRegistry
@@ -321,35 +357,19 @@ class ActiveLearner:
         return self._cumulative_cost
 
     def _fit_model(self, iteration: int) -> GaussianProcessRegressor:
-        if (
-            self.fast_refits
-            and self.model is not None
-            and self.model.fitted
-            and iteration % self.refit_every != 0
-        ):
-            # Off-schedule iteration: extend the posterior with the rows
-            # queried since the last (re)fit, hyperparameters held fixed.
+        if not self._refit_due(self.model, iteration):
             tm.count("al.fit.incremental")
-            n_fitted = self.model.X_train_.shape[0]
-            if n_fitted < self.n_train:
-                self.model.update(
-                    self._X_train[n_fitted:],
-                    self._y_train[n_fitted:],
-                    alpha=(
-                        self._alpha_train[n_fitted:]
-                        if self._alpha_train is not None
-                        else None
-                    ),
-                )
-            return self.model
+            return self._fold_new_rows(
+                self.model, self._X_train, self._y_train, self._alpha_train
+            )
 
         tm.count("al.fit.full")
         warm = self.fast_refits and self.warm_start and self.model is not None
         model = self.model if warm else self.model_factory()
-        if not warm and self.guardrails is not None and self._remediation_level > 0:
+        if not warm and self._gate is not None and self._gate.level > 0:
             from .guardrails import apply_remediation
 
-            apply_remediation(model, self._remediation_level, self.guardrails)
+            apply_remediation(model, self._gate.level, self.guardrails)
         if self.noise_floor_schedule is not None:
             floor = float(self.noise_floor_schedule(iteration))
             if floor <= 0:
@@ -378,45 +398,24 @@ class ActiveLearner:
             self.strategy.refit_cost_model(self._X_cost, self._costs_known)
             tm.count("al.cost_model.refit")
         fresh = model
-        if self._health is not None:
-            model = self._health_gate(fresh, iteration)
+        report = None
+        if self._gate is not None:
+            model = self._gate_refit(
+                fresh, self._X_train, self._y_train, self._alpha_train,
+                iteration=iteration,
+            )
+            report = self._gate.last_report
+            self.n_rollbacks += model is not fresh
         if self.registry is not None and model is fresh:
             # Healthy (or ungated) full refit: make it the served version.
             # Rollback iterations publish nothing — the last-known-good
             # already is the served version.
             self.registry.publish(
                 model,
-                health=self._last_report,
+                health=report,
                 extra={"strategy": self.strategy.name, "iteration": iteration},
             )
         return model
-
-    def _health_gate(
-        self, model: GaussianProcessRegressor, iteration: int
-    ) -> GaussianProcessRegressor:
-        """Accept a healthy fit as last-known-good; roll an unhealthy one back."""
-        report = self._health.check(model, prev_lml_per_point=self._prev_lml_pp)
-        self._last_report = report
-        if (
-            report.healthy
-            or not self._lkg.available
-            or self._remediation_level >= self.guardrails.max_rollbacks
-        ):
-            self._lkg.remember(model)
-            if report.n_train >= self._health.config.min_points:
-                self._prev_lml_pp = report.lml_per_point
-            self._remediation_level = 0
-            return model
-        self.n_rollbacks += 1
-        self._remediation_level += 1
-        tm.count("guardrail.rollback")
-        tm.event(
-            "guardrail.rollback",
-            iteration=iteration,
-            issues=list(report.issues),
-            remediation_level=self._remediation_level,
-        )
-        return self._lkg.restore(self._X_train, self._y_train, self._alpha_train)
 
     # -------------------------------------------------------------------- loop
 

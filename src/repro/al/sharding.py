@@ -24,9 +24,9 @@ crash, hang, or silently corrupt data, and degrades instead of dying:
   boundary refinement: points whose two nearest cell centers are within
   ``boundary_margin`` of each other consult both shards' models and take
   the larger score.
-* :class:`ShardSupervisor` — the robustness headline: per-shard
-  :class:`~repro.al.guardrails.ModelHealth` gating, per-shard
-  :class:`~repro.al.guardrails.LastKnownGood` rollback, a shard-level
+* :class:`ShardSupervisor` — the robustness headline: one
+  :class:`~repro.al.guardrails.HealthGate` per shard (health check and
+  last-known-good rollback, uncapped), a shard-level
   circuit breaker (the cluster's
   :class:`~repro.cluster.breaker.NodeCircuitBreaker`, clocked by AL
   round, one seat per shard) that excludes open shards from routing and
@@ -65,12 +65,7 @@ from ..gp.gpr import GaussianProcessRegressor
 from ..parallel.pmap import ParallelMap
 from ..perfmodel import PERFORMANCE_NOISE, RuntimeModel
 from .campaign import CampaignResult
-from .guardrails import (
-    GuardrailTallies,
-    HealthConfig,
-    LastKnownGood,
-    ModelHealth,
-)
+from .guardrails import GuardrailTallies, HealthConfig, HealthGate, fit_with_jitter
 from .learner import default_model_factory
 from .metrics import evaluate_model
 from .partition import Partition
@@ -372,24 +367,9 @@ class _ShardFitTask:
                     return out
                 y = injector.corrupt_values(y)
         try:
-            model = None
-            base_jitter = None
-            for scale in (1.0, 1e3, 1e6):
-                m = self.model_factory()
-                m.rng = np.random.default_rng(int(model_seed))
-                if base_jitter is None:
-                    base_jitter = m.jitter
-                m.jitter = base_jitter * scale
-                try:
-                    m.fit(X, y)
-                    model = m
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            if model is None:
-                raise np.linalg.LinAlgError(
-                    "shard fit failed at maximum jitter escalation"
-                )
+            model = self.model_factory()
+            model.rng = np.random.default_rng(int(model_seed))
+            model = fit_with_jitter(model, X, y)
             out["ok"] = True
             # to_dict round-trips bit-exactly, so shipping the payload
             # (instead of the live object) keeps every backend identical.
@@ -407,10 +387,10 @@ class _ShardFitTask:
 class ShardSupervisor:
     """Per-shard fit execution with health gating, rollback and breaking.
 
-    One instance owns, for every shard: a :class:`ModelHealth` verdict
-    stream, a :class:`LastKnownGood` snapshot (restored when a fit is
+    One instance owns, for every shard: a :class:`HealthGate` with no
+    rollback cap, whose last-known-good is restored when a fit is
     unhealthy *or* when every retry of a round failed — so a flapping
-    shard keeps serving its last healthy posterior), and a seat on a
+    shard keeps serving its last healthy posterior — and a seat on a
     shared :class:`~repro.cluster.breaker.NodeCircuitBreaker` whose clock
     is the round index (blacklisted shards report as ``"dead"``).  Fit
     waves run through :meth:`ParallelMap.map_grouped` with one affinity
@@ -434,9 +414,8 @@ class ShardSupervisor:
         self.pmap = pmap
         self.fault_config = fault_config
         self.breaker = NodeCircuitBreaker(config.breaker, n_nodes=n_shards)
-        self.health = ModelHealth(config.health) if config.health else None
         self.tallies = tallies if tallies is not None else GuardrailTallies()
-        self.lkg = {s: LastKnownGood() for s in range(n_shards)}
+        self.gates = {s: HealthGate(config.health) for s in range(n_shards)}
         self.records = {
             s: {
                 "failures": 0,
@@ -452,7 +431,6 @@ class ShardSupervisor:
             }
             for s in range(n_shards)
         }
-        self.last_reports = {s: None for s in range(n_shards)}
         self.total_rounds = 0
 
     def _task(self) -> _ShardFitTask:
@@ -541,10 +519,22 @@ class ShardSupervisor:
 
         models: dict[int, GaussianProcessRegressor] = {}
         for s in sorted(fitted):
-            models[s] = self._health_gate(
-                s, round_index, succeeded_attempt[s], fitted[s],
-                shard_X[s], shard_y[s],
-            )
+            gate, rec = self.gates[s], self.records[s]
+            models[s] = gate.gate(fitted[s], shard_X[s], shard_y[s])
+            if gate.last_report is not None and not gate.last_report.healthy:
+                rec["unhealthy_fits"] += 1
+                self.tallies.n_unhealthy_fits += 1
+            if models[s] is fitted[s]:
+                rec.update(
+                    lkg_round=int(round_index),
+                    lkg_attempt=int(succeeded_attempt[s]),
+                    lkg_n=int(fitted[s].X_train_.shape[0]),
+                )
+            else:
+                self._count_rollback(s)
+                issues = list(gate.last_report.issues)
+                tm.event("shard.rollback", shard=s, round=round_index, issues=issues)
+            rec["prev_lml_pp"] = gate.prev_lml_per_point
             self.breaker.record_success(s, round_index)
         for s in sorted(set(expected) - set(fitted)):
             # Every retry failed: the breaker hears about it, but the
@@ -552,66 +542,22 @@ class ShardSupervisor:
             # (rebuilt deterministically on resume, so routing stays
             # bit-identical to an uninterrupted run).
             self.breaker.record_failure(s, round_index)
-            if self.lkg[s].available:
+            if self.gates[s].lkg.available:
                 try:
-                    models[s] = self.lkg[s].restore(
-                        np.asarray(shard_X[s], dtype=float),
-                        np.asarray(shard_y[s], dtype=float),
-                    )
-                    self.records[s]["rollbacks"] += 1
-                    self.tallies.n_rollbacks += 1
-                    tm.count("shard.rollbacks")
+                    models[s] = self.gates[s].lkg.restore(shard_X[s], shard_y[s])
+                    self._count_rollback(s)
                 except (ValueError, np.linalg.LinAlgError):
                     pass
-        self.tallies.n_breaker_opens = self.breaker.n_opened
-        self.tallies.n_breaker_probes = self.breaker.n_probes
-        self.tallies.n_breaker_blacklisted = self.breaker.n_blacklisted
+        self.tallies.sync_breaker(self.breaker)
         for s in models:
             self.records[s]["available_rounds"] += 1
         tm.gauge_set("shard.available", len(models))
         return models
 
-    def _health_gate(
-        self, shard, round_index, attempt, model, X, y
-    ) -> GaussianProcessRegressor:
-        """Accept a healthy fit as the shard's LKG; roll an unhealthy one back."""
-        rec = self.records[shard]
-        if self.health is None:
-            self._remember(shard, round_index, attempt, model)
-            return model
-        report = self.health.check(
-            model, prev_lml_per_point=rec["prev_lml_pp"]
-        )
-        self.last_reports[shard] = report
-        if report.healthy or not self.lkg[shard].available:
-            self._remember(shard, round_index, attempt, model)
-            if report.n_train >= self.health.config.min_points:
-                rec["prev_lml_pp"] = report.lml_per_point
-            if not report.healthy:
-                rec["unhealthy_fits"] += 1
-                self.tallies.n_unhealthy_fits += 1
-            return model
-        rec["unhealthy_fits"] += 1
-        rec["rollbacks"] += 1
-        self.tallies.n_unhealthy_fits += 1
+    def _count_rollback(self, shard: int) -> None:
+        self.records[shard]["rollbacks"] += 1
         self.tallies.n_rollbacks += 1
         tm.count("shard.rollbacks")
-        tm.event(
-            "shard.rollback",
-            shard=shard,
-            round=round_index,
-            issues=list(report.issues),
-        )
-        return self.lkg[shard].restore(
-            np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        )
-
-    def _remember(self, shard, round_index, attempt, model) -> None:
-        self.lkg[shard].remember(model)
-        rec = self.records[shard]
-        rec["lkg_round"] = int(round_index)
-        rec["lkg_attempt"] = int(attempt)
-        rec["lkg_n"] = int(model.X_train_.shape[0])
 
     def availability(self, round_index: int) -> dict:
         """Per-shard availability report for ``CampaignResult``."""
@@ -1131,6 +1077,7 @@ class ShardedLearner:
         )
         for s, rec in manifest["records"].items():
             sup.records[int(s)].update(rec)
+            sup.gates[int(s)].prev_lml_per_point = rec["prev_lml_pp"]
         sup.total_rounds = int(manifest.get("total_fit_rounds", 0))
         sup.tallies = GuardrailTallies.from_dict(manifest.get("tallies"))
 
@@ -1165,7 +1112,7 @@ class ShardedLearner:
                 )
             )
             if out["ok"]:
-                self.supervisor.lkg[s].remember(
+                self.supervisor.gates[s].lkg.remember(
                     GaussianProcessRegressor.from_dict(out["model"])
                 )
 
@@ -1240,7 +1187,7 @@ class ShardedLearner:
             self.registry.publish_bundle(
                 [final_models[s] for s in shards],
                 shard_ids=shards,
-                healths=[self.supervisor.last_reports[s] for s in shards],
+                healths=[self.supervisor.gates[s].last_report for s in shards],
                 extra={
                     "strategy": self.strategy_name,
                     "n_rounds": cfg.n_rounds,

@@ -354,3 +354,19 @@ def test_z_threshold_gates_corrupted_measurements():
         ]
     )
     assert np.all(np.abs(result.y - clean) < 1.0)
+
+
+def test_resume_rejects_candidates_off_by_rounding(tmp_path):
+    """Candidates round-trip JSON exactly, so resume compares them exactly:
+    a grid that differs by 1e-9 relative would not replay bit-identically."""
+    path = tmp_path / "campaign.json"
+    OnlineCampaign(_config(n_rounds=2), ModelExecutor(), rng=0).run(
+        checkpoint_path=path
+    )
+    candidates = _candidates()
+    candidates[3, 2] *= 1.0 + 1e-9
+    other = CampaignConfig(
+        operator="poisson1", candidates=candidates, batch_size=2, n_rounds=2
+    )
+    with pytest.raises(ValueError, match="candidates"):
+        OnlineCampaign(other, ModelExecutor(), rng=0).resume(path)

@@ -216,3 +216,134 @@ def test_pre_guardrail_checkpoints_still_load(tmp_path):
         path
     )
     assert resumed.stop_reason == "completed"
+
+
+def test_tiny_unhealthy_fit_does_not_become_the_lml_baseline(tmp_path):
+    """A fit below HealthConfig.min_points flagged only on conditioning and
+    accepted (no rollbacks allowed) must not set the per-point LML baseline:
+    tiny-fit LML is no reference for later fits."""
+    from repro.gp.gpr import GaussianProcessRegressor
+    from repro.gp.kernels import RBF
+
+    def stiff():
+        # Fixed long length scale and tiny noise: any two points make K
+        # nearly singular, so every n >= 2 fit fails the condition check.
+        return GaussianProcessRegressor(
+            RBF(length_scale=100.0, length_scale_bounds="fixed"),
+            noise_variance=1e-6,
+            noise_variance_bounds="fixed",
+            optimizer=None,
+        )
+
+    guard = GuardrailConfig(
+        health=HealthConfig(max_condition_number=1e3),
+        check_drift=False,
+        max_rollbacks=0,
+    )
+    path = tmp_path / "tiny.json"
+    campaign = OnlineCampaign(
+        _config(batch_size=1, n_rounds=4), ModelExecutor(), rng=0,
+        guardrails=guard, model_factory=stiff,
+    )
+    result = campaign.run(checkpoint_path=path)
+    assert result.guardrails.n_unhealthy_fits >= 2
+    assert result.guardrails.n_rollbacks == 0
+    state = load_checkpoint(path).guardrail_state
+    assert len(result.y) < HealthConfig().min_points
+    assert state["prev_lml_per_point"] is None
+
+
+class _FragileGPR:
+    """Factory of GPRs whose Cholesky fails until the jitter is escalated."""
+
+    def __call__(self):
+        from repro.gp.gpr import GaussianProcessRegressor
+
+        class Fragile(GaussianProcessRegressor):
+            def fit(self, X, y):
+                if self.jitter < 1e-8:
+                    raise np.linalg.LinAlgError("matrix not positive definite")
+                return super().fit(X, y)
+
+        return Fragile(noise_variance=1e-2, optimizer=None, jitter=1e-10)
+
+
+def test_remediated_refit_needing_jitter_escalation_counts_once():
+    """Every fit here needs a jitter escalation (a second attempt);
+    a remediated refit still counts, and emits, one remediation."""
+    from repro import telemetry as tm
+
+    guard = GuardrailConfig(
+        health=HealthConfig(max_condition_number=1.0 + 1e-9),
+        check_drift=False,
+        max_rollbacks=2,
+    )
+    campaign = OnlineCampaign(
+        _config(batch_size=2, n_rounds=6), ModelExecutor(), rng=1,
+        guardrails=guard, model_factory=_FragileGPR(),
+    )
+    with tm.session():
+        result = campaign.run()
+        emitted = tm.get_registry().counter("guardrail.remediation").value
+    assert result.model.jitter >= 1e-8
+    t = result.guardrails
+    assert t.n_rollbacks >= 1
+    # Each rollback raises the level, so exactly the next refit (a later
+    # round's or the final one) runs remediated.
+    assert t.n_remediations == t.n_rollbacks
+    assert emitted == t.n_rollbacks
+
+
+def test_resumed_breaker_matches_the_uninterrupted_run(tmp_path):
+    """The node breaker is checkpointed: after a kill, the resumed breaker's
+    states and counters equal the uninterrupted run's at the same round,
+    and a breaker-only campaign resumes bit-identically."""
+    sizes = [48**3, 96**3, 192**3, 384**3]
+    cand = np.array(
+        [(s, p, f) for s in sizes for p in [1, 8, 32] for f in [1.2, 2.4]],
+        dtype=float,
+    )
+    config = CampaignConfig(
+        operator="poisson1", candidates=cand, batch_size=3, n_rounds=6
+    )
+
+    def fresh():
+        return OnlineCampaign(
+            config,
+            FaultyExecutor(ModelExecutor(), FaultConfig(node_crash_rates={0: 0.7})),
+            rng=3,
+            breaker=BreakerConfig(failure_threshold=1, cooldown_seconds=200.0),
+        )
+
+    def recording(campaign, snapshots, kill_at=None):
+        orig = campaign._checkpoint
+
+        def checkpoint(state, path):
+            orig(state, path)
+            snapshots.append(campaign.breaker.as_dict())
+            if len(snapshots) == kill_at:
+                raise KeyboardInterrupt("simulated kill")
+
+        campaign._checkpoint = checkpoint
+        return campaign
+
+    reference_states = []
+    reference = recording(fresh(), reference_states).run(
+        checkpoint_path=tmp_path / "ref.json"
+    )
+    assert reference.guardrails.n_breaker_opens >= 1
+
+    path = tmp_path / "killed.json"
+    with pytest.raises(KeyboardInterrupt):
+        recording(fresh(), [], kill_at=4).run(checkpoint_path=path)
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.guardrail_state["breaker"] == reference_states[3]
+
+    resumed_campaign = fresh()
+    resumed_states = []
+    resumed = recording(resumed_campaign, resumed_states).resume(path)
+    assert resumed_states == reference_states[4:]
+    assert resumed.guardrails.as_dict() == reference.guardrails.as_dict()
+    np.testing.assert_array_equal(resumed.X, reference.X)
+    np.testing.assert_array_equal(resumed.y, reference.y)
+    assert resumed.rounds == reference.rounds

@@ -9,6 +9,7 @@ from repro.al.guardrails import (
     GuardrailConfig,
     GuardrailTallies,
     HealthConfig,
+    HealthGate,
     LastKnownGood,
     ModelHealth,
     apply_remediation,
@@ -159,6 +160,67 @@ def test_last_known_good_rejects_shrunk_history():
     lkg.reset()
     with pytest.raises(RuntimeError):
         lkg.restore(X, y)
+
+
+def test_health_gate_accepts_rolls_back_and_caps():
+    impossible = HealthConfig(max_condition_number=1.0 + 1e-9)
+    gate = HealthGate(impossible, max_rollbacks=1)
+    first, X, y = _fit_model(n=12)
+    # Unhealthy, but nothing to roll back to: accepted as the LKG.
+    assert gate.gate(first, X, y) is first
+    assert not gate.last_report.healthy
+    assert gate.level == 0 and gate.lkg.available
+    assert gate.prev_lml_per_point == gate.last_report.lml_per_point
+
+    second, X2, y2 = _fit_model(n=14, seed=1)
+    X2 = np.vstack([X, X2[12:]])
+    y2 = np.append(y, y2[12:])
+    rolled = gate.gate(second, X2, y2)
+    assert rolled is not second and rolled.X_train_.shape[0] == 14
+    assert gate.level == 1
+    # The cap is reached: the next unhealthy fit is accepted, level resets.
+    assert gate.gate(second, X2, y2) is second
+    assert gate.level == 0
+
+
+def test_health_gate_baseline_needs_min_points_and_survives_restore_errors():
+    gate = HealthGate(HealthConfig(min_points=6))
+    tiny, X, y = _fit_model(n=4)
+    assert gate.gate(tiny, X, y) is tiny
+    assert gate.prev_lml_per_point is None  # tiny-fit LML is no baseline
+
+    strict = HealthGate(HealthConfig(max_condition_number=1.0 + 1e-9))
+    model, X, y = _fit_model(n=12)
+    strict.gate(model, X, y)
+
+    def broken(*args):
+        raise np.linalg.LinAlgError("snapshot not extendable")
+
+    strict.lkg.restore = broken
+    again, _, _ = _fit_model(n=12, seed=3)
+    assert strict.gate(again, X, y) is again  # keep the fresh fit
+    assert strict.level == 0
+
+
+def test_health_gate_state_round_trip_and_reset():
+    gate = HealthGate(HealthConfig(), max_rollbacks=3)
+    model, X, y = _fit_model(n=12)
+    gate.gate(model, X, y)
+    gate.level = 2
+    back = HealthGate.from_dict(
+        gate.as_dict(), health=HealthConfig(), max_rollbacks=3
+    )
+    assert back.as_dict() == gate.as_dict()
+    assert back.prev_lml_per_point is not None
+    assert not back.lkg.available  # the snapshot restarts cold
+    assert HealthGate.from_dict(None).as_dict() == HealthGate().as_dict()
+    gate.reset()
+    assert gate.as_dict() == {"remediation_level": 0, "prev_lml_per_point": None}
+    assert not gate.lkg.available
+    # Without a health config every fit is accepted and remembered.
+    plain = HealthGate()
+    assert plain.gate(model, X, y) is model
+    assert plain.lkg.available and plain.last_report is None
 
 
 def test_remediation_escalates_restarts_then_floor():

@@ -270,3 +270,54 @@ def test_fuse_repeats_validates_repeat_noise_variance():
                 X, y, costs, part, VarianceReduction(),
                 fuse_repeats=True, repeat_noise_variance=bad,
             )
+
+
+def test_guarded_learner_rolls_back_and_remediates(tmp_path):
+    """An impossible condition bound marks every refit unhealthy: the first
+    full refit is accepted (nothing to roll back to), later ones roll back,
+    refits after a rollback run remediated, and only accepted refits reach
+    the registry."""
+    from repro.al.guardrails import GuardrailConfig, HealthConfig
+    from repro.serve.registry import ModelRegistry
+
+    made = []
+    base = default_model_factory(noise_floor=1e-2)
+
+    def factory():
+        made.append(base())
+        return made[-1]
+
+    registry = ModelRegistry(tmp_path / "registry")
+    guard = GuardrailConfig(
+        health=HealthConfig(max_condition_number=1.0 + 1e-9), max_rollbacks=2
+    )
+    learner = _learner(model_factory=factory, guardrails=guard, registry=registry)
+    decisions = []
+    for _ in range(7):
+        n_rollbacks = learner.n_rollbacks
+        n_versions = len(registry.versions())
+        learner.step()
+        rolled = learner.n_rollbacks > n_rollbacks
+        decisions.append(
+            (
+                "rollback" if rolled else "accept",
+                len(registry.versions()) - n_versions,
+                made[-1].n_restarts,
+                learner.model is made[-1],
+            )
+        )
+    # Two rollbacks (remediation levels 1 and 2), then the capped fit is
+    # accepted; the cycle restarts at level 0.  Level k adds 2k restarts.
+    accept0, accept_capped = ("accept", 1, 2, True), ("accept", 1, 6, True)
+    assert decisions == [
+        accept0,
+        ("rollback", 0, 2, False),
+        ("rollback", 0, 4, False),
+        accept_capped,
+        ("rollback", 0, 2, False),
+        ("rollback", 0, 4, False),
+        accept_capped,
+    ]
+    assert learner.n_rollbacks == 4
+    # The level-2 refit also raised the noise floor tenfold.
+    assert made[3].noise_variance_bounds[0] == pytest.approx(1e-1)

@@ -395,3 +395,55 @@ def test_run_is_single_use_and_strategy_seeds_differ():
     learner.run()
     with pytest.raises(RuntimeError):
         learner.run()
+
+
+# ------------------------------------------------------------ health gate
+
+
+def test_unhealthy_shard_fits_roll_back_and_resume_bit_identically(tmp_path):
+    """An impossible condition bound marks shard fits unhealthy: each shard
+    accepts its first fit (nothing to roll back to), rolls back every later
+    unhealthy one with no cap, records both per shard, and a killed run
+    resumes bit-identically."""
+    from repro.al.guardrails import HealthConfig
+
+    X, y, costs, part = _small_problem(80, seed=3)
+    cfg = ShardingConfig(
+        n_shards=3, n_rounds=5, batch_size=2, seed=11,
+        health=HealthConfig(max_condition_number=1.0 + 1e-9),
+    )
+    full = _learner(X, y, costs, part, cfg)
+    result = full.run()
+    assert result.stop_reason == "completed"
+    per_shard = result.shard_availability["per_shard"]
+    rollbacks = [per_shard[s]["rollbacks"] for s in range(3)]
+    unhealthy = [per_shard[s]["unhealthy_fits"] for s in range(3)]
+    # More rollbacks than GuardrailConfig.max_rollbacks allows elsewhere.
+    assert max(rollbacks) > 3
+    for s in range(3):
+        # At most one unhealthy fit per shard is accepted: its first.
+        assert unhealthy[s] - rollbacks[s] in (0, 1)
+    assert result.guardrails.n_rollbacks == sum(rollbacks)
+    assert result.guardrails.n_unhealthy_fits == sum(unhealthy)
+
+    victim = _learner(X, y, costs, part, cfg)
+
+    def bomb(round_index):
+        if round_index == 3:
+            raise KeyboardInterrupt("simulated operator kill")
+
+    victim._mid_round_hook = bomb
+    with pytest.raises(KeyboardInterrupt):
+        victim.run(checkpoint_dir=tmp_path)
+    resumed = _learner(X, y, costs, part, cfg).resume(tmp_path)
+    grid = np.ascontiguousarray(X[part.test])
+    np.testing.assert_array_equal(resumed.X, result.X)
+    np.testing.assert_array_equal(resumed.y, result.y)
+    for a, b in zip(
+        resumed.model.predict(grid, return_std=True),
+        result.model.predict(grid, return_std=True),
+    ):
+        np.testing.assert_array_equal(a, b)
+    assert resumed.rounds == result.rounds
+    assert resumed.shard_availability == result.shard_availability
+    assert resumed.guardrails.as_dict() == result.guardrails.as_dict()
